@@ -45,7 +45,9 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..obs import get_tracer, metrics
+from . import shared
 from .keys import TOOLCHAIN_VERSION
+from .shared import ProgramRefs
 
 #: artifact namespaces (subdirectories of the cache root)
 KIND_PROGRAM = "program"
@@ -147,8 +149,10 @@ class ArtifactCache:
         # unpickle, which dominates warm-path wall-clock.  Entries are
         # immutable by contract, so handing out the same object is safe;
         # only successful *disk* loads are memoized, keeping the disk the
-        # source of truth right after a put.
-        self._memo: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
+        # source of truth right after a put.  Each entry keeps the program
+        # its references resolved against (None without ``refs``).
+        self._memo: "OrderedDict[Tuple[str, str], Tuple[Any, Any]]" = (
+            OrderedDict())
         self._memo_entries = memo_entries
         # Monotonic insertion sequence recorded in every sidecar: the
         # ``created`` wall-clock stamp alone cannot order entries written
@@ -199,8 +203,13 @@ class ArtifactCache:
         """Whether an entry exists (without counting a hit or a miss)."""
         return self._entry_path(kind, key).exists()
 
-    def get(self, kind: str, key: str) -> Optional[Any]:
+    def get(self, kind: str, key: str,
+            refs: Optional[ProgramRefs] = None) -> Optional[Any]:
         """Load an artifact; ``None`` on miss.
+
+        ``refs`` resolves the program references of a payload stored with
+        the same ``refs`` argument (see :mod:`repro.cache.shared`); a memo
+        hit is served only to a caller resolving against the same program.
 
         A stale (different-toolchain) or missing entry counts as a miss
         and is deleted so the caller's rebuild replaces it.  A payload
@@ -211,11 +220,13 @@ class ArtifactCache:
         plain miss that leaves the entry in place for the next reader.
         """
         memo_key = (kind, key)
-        if memo_key in self._memo:
+        root = refs.root if refs is not None else None
+        memoized = self._memo.get(memo_key)
+        if memoized is not None and memoized[1] is root:
             self._memo.move_to_end(memo_key)
             self.stats.record(kind, hit=True)
             metrics().counter(f"cache.hit.{kind}")
-            return self._memo[memo_key]
+            return memoized[0]
         injector = self.fault_injector
         if injector is not None:
             try:
@@ -241,7 +252,8 @@ class ArtifactCache:
         if crc is not None and zlib.crc32(payload) != crc:
             return self._heal(kind, key, "checksum mismatch")
         try:
-            value = pickle.loads(payload)
+            value = (pickle.loads(payload) if refs is None
+                     else shared.loads(payload, refs))
         except Exception:  # noqa: BLE001 - any damage shape, never raise
             # Legacy entry without a checksum, or a corruption the CRC
             # cannot see (it covers the bytes we read, not the pickle
@@ -250,7 +262,7 @@ class ArtifactCache:
         self.stats.record(kind, hit=True)
         metrics().counter(f"cache.hit.{kind}")
         if self._memo_entries > 0:
-            self._memo[memo_key] = value
+            self._memo[memo_key] = (value, root)
             while len(self._memo) > self._memo_entries:
                 self._memo.popitem(last=False)
         return value
@@ -270,8 +282,11 @@ class ArtifactCache:
         return self._miss(kind)
 
     def put(self, kind: str, key: str, value: Any,
-            note: str = "") -> bool:
+            note: str = "", refs: Optional[ProgramRefs] = None) -> bool:
         """Store an artifact; returns whether a new entry was written.
+
+        With ``refs``, the objects of that program are stored as
+        references (read the entry back with the same ``refs``).
 
         A value that cannot be pickled is skipped (``False``) rather than
         raised — caching is an accelerator, never a correctness gate.  So
@@ -287,8 +302,9 @@ class ArtifactCache:
             if path.exists():
                 return False
             try:
-                payload = pickle.dumps(value,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
+                payload = (pickle.dumps(value,
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+                           if refs is None else shared.dumps(value, refs))
             except (TypeError, AttributeError, pickle.PicklingError):
                 return False
             path.parent.mkdir(parents=True, exist_ok=True)

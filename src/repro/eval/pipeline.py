@@ -39,6 +39,7 @@ from ..cache import (
     source_digest,
     trace_key,
 )
+from ..cache.shared import ProgramRefs
 from ..image.binary import (
     MODE_INSTRUMENTED,
     MODE_OPTIMIZED,
@@ -230,6 +231,7 @@ class WorkloadPipeline:
         self.last_watchdog_reports: List[WatchdogReport] = []
         #: compiled lazily (a fully cache-hit sweep never needs it)
         self._program: Optional[Program] = None
+        self._program_refs: Optional[ProgramRefs] = None
         self._src_digest = source_digest(workload.source)
         self._build_fp = self.build_config.fingerprint()
         self._exec_fp = self.exec_config.fingerprint()
@@ -266,6 +268,18 @@ class WorkloadPipeline:
                                    note=self.workload.name)
         return self._program
 
+    @property
+    def _image_refs(self) -> ProgramRefs:
+        """What cached images reference instead of embedding a program.
+
+        Image entries store the objects of :attr:`program` as references
+        and resolve them against it on load, so a loaded image shares the
+        program exactly as a fresh build does.
+        """
+        if self._program_refs is None:
+            self._program_refs = ProgramRefs(self.program)
+        return self._program_refs
+
     def builder(self) -> NativeImageBuilder:
         """A fresh builder over the compiled program (one per build)."""
         return NativeImageBuilder(self.program, self.build_config)
@@ -277,7 +291,7 @@ class WorkloadPipeline:
         key = image_key(self._src_digest, self._build_fp, mode,
                         None, None, "", seed)
         if self._cache_armed:
-            binary = self.cache.get(KIND_IMAGE, key)
+            binary = self.cache.get(KIND_IMAGE, key, refs=self._image_refs)
             if binary is not None:
                 binary._cache_key = key
                 return binary
@@ -285,7 +299,8 @@ class WorkloadPipeline:
         binary._cache_key = key
         if self._cache_armed:
             self.cache.put(KIND_IMAGE, key, binary,
-                           note=f"{self.workload.name} {mode}")
+                           note=f"{self.workload.name} {mode}",
+                           refs=self._image_refs)
         return binary
 
     def build_baseline(self, seed: int = 0) -> NativeImageBinary:
@@ -324,7 +339,7 @@ class WorkloadPipeline:
         profiles = self.optimize_profiles(profiles, strategy, seed=seed)
         key = self._optimized_key(profiles, strategy, seed)
         if key is not None:
-            binary = self.cache.get(KIND_IMAGE, key)
+            binary = self.cache.get(KIND_IMAGE, key, refs=self._image_refs)
             if binary is not None:
                 binary._cache_key = key
                 self._restore_rung(self.cache.get(KIND_REPORT, key), strategy)
@@ -344,7 +359,8 @@ class WorkloadPipeline:
             # image payload and rung decisions live in separate entries so
             # the warm fast path (cached_strategy_runs) can restore the
             # rung without unpickling the image
-            self.cache.put(KIND_IMAGE, key, binary, note=note)
+            self.cache.put(KIND_IMAGE, key, binary, note=note,
+                           refs=self._image_refs)
             self.cache.put(KIND_REPORT, key, {
                 "verification": self.last_verification_report,
                 "degradation": self.last_degradation_report,

@@ -1,7 +1,8 @@
 """Per-build program transformations: cloning and PGO constant folding.
 
-Each Native-Image build owns its own copy of the program (builds must not
-see each other's code rewrites), and the optimizing build folds accesses to
+Each optimizing build owns its own copy of the program (builds must not
+see each other's code rewrites; regular and instrumented builds rewrite
+nothing and read the compiled program as is), and it folds accesses to
 ``static final`` fields whose build-time value is a primitive or a String —
 the mechanism by which "accesses to their fields could be constant-folded,
 eliminating the need to store the respective objects in the heap snapshot"
@@ -36,26 +37,12 @@ def clone_program(program: Program) -> Program:
         new_cls.instance_fields = list(cls.instance_fields)
         new_cls.static_fields = list(cls.static_fields)
         for method_name, method in cls.methods.items():
-            new_cls.methods[method_name] = _clone_method(method)
+            new_cls.methods[method_name] = method.copy()
         if cls.clinit is not None:
-            new_cls.clinit = _clone_method(cls.clinit)
+            new_cls.clinit = cls.clinit.copy()
         clone.add_class(new_cls)
     clone.link()
     return clone
-
-
-def _clone_method(method: CompiledMethod) -> CompiledMethod:
-    return CompiledMethod(
-        owner=method.owner,
-        name=method.name,
-        param_types=list(method.param_types),
-        is_static=method.is_static,
-        is_ctor=method.is_ctor,
-        returns_value=method.returns_value,
-        num_slots=method.num_slots,
-        code=list(method.code),
-        line=method.line,
-    )
 
 
 @dataclass(frozen=True)

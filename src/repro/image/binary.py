@@ -1,9 +1,10 @@
 """The built Native-Image binary and its runtime instantiation.
 
-A :class:`NativeImageBinary` bundles everything a run needs: the build's own
-program clone, the laid-out sections, the heap snapshot with object
-identities, the statics area, and — for instrumented builds — the
-instrumentation manifest.
+A :class:`NativeImageBinary` bundles everything a run needs: the program
+(an optimized build's own folded copy; the compiled program itself for
+regular and instrumented builds), the laid-out sections, the heap
+snapshot with object identities, the statics area, and — for
+instrumented builds — the instrumentation manifest.
 
 Each execution calls :meth:`NativeImageBinary.instantiate` to get a *fresh*
 copy of the mutable image heap, mirroring how the OS maps the pristine

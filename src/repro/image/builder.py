@@ -125,8 +125,13 @@ class NativeImageBuilder:
             raise ValueError("ordering strategies apply to optimized builds only")
         config = self.config
 
-        # 1-2. per-build program copy + points-to (RTA) analysis
-        program = clone_program(self._program)
+        # 1-2. program + points-to (RTA) analysis.  Only optimized builds
+        # rewrite code (constant folding, step 4), so only they need a
+        # private copy; the other modes share the compiled program.
+        if mode == MODE_OPTIMIZED:
+            program = clone_program(self._program)
+        else:
+            program = self._program
         reachability = analyze(program, config.saturation_threshold)
 
         # 3. build-time class initialization (heap snapshotting, phase 1)

@@ -126,6 +126,25 @@ class CompiledMethod:
         """Stable signature used to match methods across builds."""
         return f"{self.owner}.{self.name}({','.join(self.param_types)})"
 
+    def copy(self) -> "CompiledMethod":
+        """A fresh method with its own code list of the same instructions.
+
+        Instructions are immutable (rewrites replace list entries), so
+        copies share them; this is the per-build method copy the image
+        builder's constant folding rewrites.
+        """
+        return CompiledMethod(
+            owner=self.owner,
+            name=self.name,
+            param_types=list(self.param_types),
+            is_static=self.is_static,
+            is_ctor=self.is_ctor,
+            returns_value=self.returns_value,
+            num_slots=self.num_slots,
+            code=list(self.code),
+            line=self.line,
+        )
+
     @property
     def num_params(self) -> int:
         """Parameter count including the implicit receiver slot."""

@@ -31,6 +31,7 @@ from .optimize import (
     OptimizeConfig,
     SearchResult,
     optimize_workload,
+    profile_from_result,
     search_order,
     simulated_faults,
     synthesize_optimizer_profiles,
@@ -55,7 +56,8 @@ __all__ = [
     "assign_structural_hashes", "heap_path_hash", "resolve_id_strategy",
     "ALL_OPTIMIZERS", "CU_OPT_ORDERING", "HEAP_OPT_ORDERING",
     "OptimizationReport", "OptimizeConfig", "SearchResult",
-    "optimize_workload", "search_order", "simulated_faults",
+    "optimize_workload", "profile_from_result", "search_order",
+    "simulated_faults",
     "synthesize_optimizer_profiles",
     "CallCountProfile", "CodeOrderProfile", "HeapOrderProfile",
     "ProfileBundle", "load_bundle", "save_bundle",

@@ -42,6 +42,7 @@ measured.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -56,7 +57,12 @@ from ..image.sections import (
     TEXT_SECTION,
 )
 from ..util.murmur3 import murmur3_32
-from .coaccess import CoAccessGraph, DEFAULT_WINDOW, build_coaccess_graph
+from .coaccess import (
+    DEFAULT_WINDOW,
+    CoAccessGraph,
+    build_coaccess_graph,
+    layout_objective,
+)
 from .ids import HEAP_PATH
 from .profiles import CodeOrderProfile, HeapOrderProfile, ProfileBundle
 
@@ -132,6 +138,12 @@ class CostModel:
     touch their spans against the virtual layout, and the fault count is
     the number of distinct pages touched plus ``constant_faults`` (the
     startup native-blob pages, which no permutation can avoid).
+
+    Only touched units cost anything, so :meth:`faults` places units just
+    until every touched one has an offset: a hot permutation followed by
+    a cold tail stops at the end of the hot prefix.  Each unit's event
+    spans are merged once up front — the pages a union of byte spans
+    covers are the union of their pages, so merging is exact.
     """
 
     units: Dict[str, PlaceableUnit]
@@ -139,30 +151,56 @@ class CostModel:
     page_size: int = PAGE_SIZE
     constant_faults: int = 0
 
-    def offsets(self, order: Sequence[str]) -> Dict[str, int]:
-        """Base offset of each unit when placed in ``order``."""
-        result: Dict[str, int] = {}
-        offset = 0
-        for name in order:
-            unit = self.units[name]
-            result[name] = offset
-            offset += _align(unit.size, unit.align)
-        return result
+    def __post_init__(self) -> None:
+        spans: Dict[str, List[Tuple[int, int]]] = {}
+        for event in self.events:
+            merged = spans.setdefault(event.unit, [])
+            merged.extend((start, start + size)
+                          for start, size in event.spans if size > 0)
+        #: touched unit -> disjoint sorted [start, end) byte spans
+        self._spans: Dict[str, Tuple[Tuple[int, int], ...]] = {
+            name: _merge_spans(pieces) for name, pieces in spans.items()
+            if pieces}
+        self._strides = {name: _align(unit.size, unit.align)
+                         for name, unit in self.units.items()}
 
     def faults(self, order: Sequence[str]) -> int:
-        """Simulated first-touch faults of the layout ``order``."""
-        offsets = self.offsets(order)
-        resident: set = set()
+        """Simulated first-touch faults of the layout ``order``.
+
+        ``order`` is a permutation of the units; raises :class:`KeyError`
+        when it leaves out a unit some event touches.
+        """
+        spans = self._spans
+        strides = self._strides
         page = self.page_size
-        for event in self.events:
-            base = offsets[event.unit]
-            for start, size in event.spans:
-                if size <= 0:
-                    continue
-                first = (base + start) // page
-                last = (base + start + size - 1) // page
-                resident.update(range(first, last + 1))
+        remaining = len(spans)
+        resident: set = set()
+        offset = 0
+        for name in order:
+            if not remaining:
+                break
+            touched = spans.get(name)
+            if touched is not None:
+                remaining -= 1
+                for start, end in touched:
+                    resident.update(range((offset + start) // page,
+                                          (offset + end - 1) // page + 1))
+            offset += strides[name]
+        if remaining:
+            missing = sorted(set(spans) - set(order))
+            raise KeyError(missing[0])
         return len(resident) + self.constant_faults
+
+
+def _merge_spans(pieces: List[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """Union of ``[start, end)`` byte spans as disjoint sorted spans."""
+    merged: List[List[int]] = []
+    for start, end in sorted(pieces):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return tuple((start, end) for start, end in merged)
 
 
 def _align(value: int, alignment: int) -> int:
@@ -366,40 +404,79 @@ def chain_merge_order(graph: CoAccessGraph, hot: Sequence[str],
     """Ext-TSP-style greedy chain merging over the co-access graph.
 
     Every hot unit starts as a singleton chain; each step merges the
-    (ordered) chain pair whose junction adds the most locality objective,
-    until no merge has positive gain.  Each merge adds exactly its junction
-    gain to :func:`~repro.ordering.coaccess.layout_objective` (intra-chain
-    gaps are preserved by concatenation), so the objective is monotonically
-    non-decreasing — the property the hypothesis suite checks.  Remaining
-    chains concatenate in first-touch order of their heads.
+    (ordered) chain pair whose junction adds the most locality objective —
+    ties go to the smallest (left head, right head) pair — until no merge
+    has positive gain.  Each merge adds exactly its junction gain to
+    :func:`~repro.ordering.coaccess.layout_objective` (intra-chain gaps
+    are preserved by concatenation).  Remaining chains concatenate in
+    first-touch order of their heads.
+
+    Junction gains live in a max-heap keyed ``(-gain, left head, right
+    head)``.  A merge retires its two chains and scores only the pairs
+    that involve the merged chain, and only against chains holding a
+    graph neighbour of its first or last ``window - 1`` units (any other
+    pair's junction gain is zero).  Entries naming a retired chain are
+    skipped when popped.
+
+    Greedy merging is not optimal: a merge fixes two chain ends for good,
+    and the final layout can score below the first-touch order itself.
+    The first-touch order is therefore returned whenever its objective is
+    strictly higher, so the result never scores below ``hot``.
     """
     window = window or graph.window
-    chains: List[List[str]] = [[name] for name in hot]
+    hot = list(hot)
+    reach = window - 1
+    adjacent: Dict[str, set] = {}
+    for (a, b), weight in graph.weights.items():
+        if weight:
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+    chains: Dict[int, List[str]] = {index: [name]
+                                    for index, name in enumerate(hot)}
+    owner = {name: index for index, name in enumerate(hot)}
+    gains: List[Tuple[Fraction, str, str, int, int]] = []
+
+    def partners(cid: int) -> set:
+        """Chains a junction with ``cid`` (either side) can gain from."""
+        if reach <= 0:
+            return set()
+        chain = chains[cid]
+        ends = chain[:reach] + chain[-reach:]
+        return {owner[v] for u in ends for v in adjacent.get(u, ())
+                if v in owner} - {cid}
+
+    def push(left: int, right: int) -> None:
+        gain = _junction_gain(graph, chains[left], chains[right], window)
+        if gain > 0:
+            heapq.heappush(gains, (-gain, chains[left][0], chains[right][0],
+                                   left, right))
+
+    for cid in range(len(hot)):
+        for other in partners(cid):
+            if other > cid:
+                push(cid, other)
+                push(other, cid)
+    next_id = len(hot)
+    while gains:
+        _gain, _lhead, _rhead, left, right = heapq.heappop(gains)
+        if left not in chains or right not in chains:
+            continue
+        merged = chains.pop(left) + chains.pop(right)
+        chains[next_id] = merged
+        for name in merged:
+            owner[name] = next_id
+        for other in partners(next_id):
+            push(next_id, other)
+            push(other, next_id)
+        next_id += 1
     rank = {name: index for index, name in enumerate(hot)}
-    while len(chains) > 1:
-        best_gain = Fraction(0)
-        best_pair: Optional[Tuple[int, int]] = None
-        for i, left in enumerate(chains):
-            for j, right in enumerate(chains):
-                if i == j:
-                    continue
-                gain = _junction_gain(graph, left, right, window)
-                if gain > best_gain or (
-                    gain == best_gain and best_pair is not None and gain > 0
-                    and (chains[best_pair[0]][0], chains[best_pair[1]][0])
-                    > (left[0], right[0])
-                ):
-                    best_gain = gain
-                    best_pair = (i, j)
-        if best_pair is None or best_gain <= 0:
-            break
-        i, j = best_pair
-        merged = chains[i] + chains[j]
-        chains = [chain for index, chain in enumerate(chains)
-                  if index not in (i, j)]
-        chains.append(merged)
-    chains.sort(key=lambda chain: min(rank[name] for name in chain))
-    return [name for chain in chains for name in chain]
+    ordered = sorted(chains.values(),
+                     key=lambda chain: min(rank[name] for name in chain))
+    result = [name for chain in ordered for name in chain]
+    if layout_objective(graph, hot, window) > layout_objective(
+            graph, result, window):
+        return hot
+    return result
 
 
 def _junction_gain(graph: CoAccessGraph, left: Sequence[str],
@@ -595,6 +672,26 @@ def search_order(problem: LayoutProblem,
     )
 
 
+def profile_from_result(bundle: ProfileBundle,
+                        result: SearchResult) -> ProfileBundle:
+    """``bundle`` plus the ordering profile a section's search chose.
+
+    A ``code`` result becomes the ``cu-opt`` CU order; a ``heap`` result
+    becomes the ``heap-opt`` heap-path ID order (group names are the IDs
+    in hex).  Returns a new bundle; the input is never mutated.
+    """
+    code, heap = dict(bundle.code), dict(bundle.heap)
+    if result.section == "code":
+        code[CU_OPT_ORDERING] = CodeOrderProfile(
+            kind=CU_OPT_ORDERING, signatures=list(result.order))
+    else:
+        heap[HEAP_OPT_ORDERING] = HeapOrderProfile(
+            strategy=HEAP_OPT_ORDERING,
+            ids=[int(name, 16) for name in result.order])
+    return ProfileBundle(code=code, heap=heap, calls=bundle.calls,
+                         completeness=bundle.completeness)
+
+
 def synthesize_optimizer_profiles(
     binary: "NativeImageBinary",
     bundle: ProfileBundle,
@@ -610,33 +707,23 @@ def synthesize_optimizer_profiles(
     input bundle is never mutated.  When a section has no usable seed
     profile the corresponding entry is simply not added, and the existing
     degradation ladder falls back to the default layout.  Deterministic:
-    same (binary, bundle, config) ⇒ byte-identical profiles.
+    same (binary, bundle, config) ⇒ byte-identical profiles.  Each
+    section is searched against the input bundle, then its result is
+    applied by :func:`profile_from_result`.
     """
     config = config or OptimizeConfig()
-    code_updates: Dict[str, CodeOrderProfile] = {}
-    heap_updates: Dict[str, HeapOrderProfile] = {}
+    results = []
     if "code" in kinds and CU_OPT_ORDERING not in bundle.code:
         problem = code_problem(binary, bundle, config)
         if problem is not None:
-            result = search_order(problem, config)
-            code_updates[CU_OPT_ORDERING] = CodeOrderProfile(
-                kind=CU_OPT_ORDERING, signatures=list(result.order))
+            results.append(search_order(problem, config))
     if "heap" in kinds and HEAP_OPT_ORDERING not in bundle.heap:
         problem = heap_problem(binary, bundle, config)
         if problem is not None:
-            result = search_order(problem, config)
-            names, _order, _members = _heap_groups(binary)
-            heap_updates[HEAP_OPT_ORDERING] = HeapOrderProfile(
-                strategy=HEAP_OPT_ORDERING,
-                ids=[names[name] for name in result.order])
-    if not code_updates and not heap_updates:
-        return bundle
-    return ProfileBundle(
-        code={**bundle.code, **code_updates},
-        heap={**bundle.heap, **heap_updates},
-        calls=bundle.calls,
-        completeness=bundle.completeness,
-    )
+            results.append(search_order(problem, config))
+    for result in results:
+        bundle = profile_from_result(bundle, result)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +910,13 @@ def optimize_workload(pipeline, sections: Sequence[str] = ("code", "heap"),
     execution oracle before its faults count.  Fault numbers come from
     :func:`simulated_faults` on the *built* binaries — the same oracle for
     seed strategies and optimizers.
+
+    Each section is searched once: the optimizer build is made from the
+    bundle that search yields (:func:`profile_from_result`), which is the
+    bundle :meth:`~repro.eval.pipeline.WorkloadPipeline.optimize_profiles`
+    would derive, so the pipeline does not search again.  The baseline
+    runs once; both sections' differential checks compare against that
+    one recorded run.
     """
     from ..eval.pipeline import (
         STRATEGY_CU,
@@ -840,6 +934,9 @@ def optimize_workload(pipeline, sections: Sequence[str] = ("code", "heap"),
                                 config=config)
     reference = pipeline.build_optimized(bundle, None, seed=seed)
     baseline = pipeline.build_baseline(seed=seed)
+    # the baseline's differential observation, recorded by the first
+    # section's check and reused by the next (the run is deterministic)
+    baseline_run = None
     plan = {
         "code": (STRATEGY_CU, STRATEGY_CU_OPT, code_problem, TEXT_SECTION),
         "heap": (STRATEGY_HEAP_PATH, STRATEGY_HEAP_OPT, heap_problem,
@@ -862,13 +959,20 @@ def optimize_workload(pipeline, sections: Sequence[str] = ("code", "heap"),
         entry.best_optimizer = result.best_name
         entry.predicted_faults = result.best_cost
         seed_binary = pipeline.build_optimized(bundle, seed_spec, seed=seed)
-        opt_binary = pipeline.build_optimized(bundle, opt_spec, seed=seed)
+        # The bundle the pipeline would derive for opt_spec (same search,
+        # same reference build), so the build and its cache key match
+        # what build_optimized(bundle, opt_spec) alone would produce.
+        opt_binary = pipeline.build_optimized(
+            profile_from_result(bundle, result), opt_spec, seed=seed)
         entry.verified = verify_layout(opt_binary).ok
-        entry.differential_ok = run_differential(
+        differential = run_differential(
             baseline, opt_binary, pipeline.exec_config,
             workload=pipeline.workload.name, strategy=opt_spec.name,
             microservice=pipeline.workload.microservice,
-        ).matches
+            baseline_run=baseline_run,
+        )
+        baseline_run = differential.baseline_run
+        entry.differential_ok = differential.matches
         entry.seed_faults = simulated_faults(
             seed_binary, bundle, pipeline.exec_config).get(section_name, 0)
         entry.optimized_faults = simulated_faults(

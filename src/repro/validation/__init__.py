@@ -26,6 +26,7 @@ from .differential import (
     CallCountRecorder,
     DifferentialReport,
     Divergence,
+    ObservedRun,
     run_differential,
 )
 from .invariants import (
@@ -54,7 +55,8 @@ from .watchdog import (
 )
 
 __all__ = [
-    "CallCountRecorder", "DifferentialReport", "Divergence", "run_differential",
+    "CallCountRecorder", "DifferentialReport", "Divergence", "ObservedRun",
+    "run_differential",
     "ALL_VIOLATION_CODES", "LayoutVerificationError",
     "LayoutVerificationReport", "LayoutViolation", "verify_layout",
     "ALL_MUTATION_KINDS", "EXPECTED_VIOLATIONS", "LayoutMutation",

@@ -86,6 +86,29 @@ class CallCountRecorder:
         return {}  # no probes -> no overhead in the time model
 
 
+@dataclass
+class ObservedRun:
+    """One recorded run: its watchdog verdict and its call counts.
+
+    A run is deterministic given the binary and the execution config, so
+    one observation of a baseline can serve every differential check
+    against that baseline (see ``baseline_run`` of
+    :func:`run_differential`).
+    """
+
+    watchdog: WatchdogReport
+    recorder: CallCountRecorder
+
+
+def _observe_run(binary: NativeImageBinary,
+                 config: Optional[ExecutionConfig] = None,
+                 watchdog: Optional[WatchdogBudget] = None) -> ObservedRun:
+    """Run ``binary`` once under the watchdog, counting method entries."""
+    recorder = CallCountRecorder()
+    report = run_with_watchdog(binary, config, watchdog, tracer=recorder)
+    return ObservedRun(watchdog=report, recorder=recorder)
+
+
 @dataclass(frozen=True)
 class Divergence:
     """One observable difference between the baseline and optimized runs."""
@@ -110,6 +133,8 @@ class DifferentialReport:
     divergences: List[Divergence] = field(default_factory=list)
     baseline_watchdog: Optional[WatchdogReport] = None
     optimized_watchdog: Optional[WatchdogReport] = None
+    #: the baseline observation compared against (reusable by later checks)
+    baseline_run: Optional[ObservedRun] = None
 
     @property
     def matches(self) -> bool:
@@ -139,17 +164,22 @@ def run_differential(
     strategy: str = "",
     microservice: bool = False,
     watchdog: Optional[WatchdogBudget] = None,
+    baseline_run: Optional[ObservedRun] = None,
 ) -> DifferentialReport:
-    """Run both binaries on the same workload and compare observables."""
+    """Run both binaries on the same workload and compare observables.
+
+    ``baseline_run`` is an earlier observation of ``baseline`` under the
+    same ``config`` and ``watchdog`` (e.g. ``report.baseline_run`` of a
+    previous check); when given, the baseline is not run again.
+    """
     report = DifferentialReport(workload=workload, strategy=strategy,
                                 microservice=microservice)
-
-    base_recorder = CallCountRecorder()
-    opt_recorder = CallCountRecorder()
-    base_run = run_with_watchdog(baseline, config, watchdog,
-                                 tracer=base_recorder)
-    opt_run = run_with_watchdog(optimized, config, watchdog,
-                                tracer=opt_recorder)
+    if baseline_run is None:
+        baseline_run = _observe_run(baseline, config, watchdog)
+    optimized_run = _observe_run(optimized, config, watchdog)
+    report.baseline_run = baseline_run
+    base_run, base_recorder = baseline_run.watchdog, baseline_run.recorder
+    opt_run, opt_recorder = optimized_run.watchdog, optimized_run.recorder
     report.baseline_watchdog = base_run
     report.optimized_watchdog = opt_run
 

@@ -6,11 +6,13 @@ import pickle
 import pytest
 
 from repro.cache import (
+    CACHE_SCHEMA,
     KIND_IMAGE,
     KIND_METRICS,
     KIND_PROFILE,
     KIND_PROGRAM,
     KIND_TRACE,
+    TOOLCHAIN_VERSION,
     ArtifactCache,
     fingerprint,
     image_key,
@@ -25,7 +27,9 @@ from repro.eval.pipeline import (
     Workload,
     WorkloadPipeline,
 )
-from repro.runtime.executor import ExecutionConfig
+from repro.cache.shared import ProgramRefs
+from repro.minijava.frontend import compile_source
+from repro.runtime.executor import ExecutionConfig, run_binary
 
 PROGRAM = """
 class Main {
@@ -253,6 +257,134 @@ class TestPipelineCaching:
         pipeline = WorkloadPipeline(Workload(name="plain", source=PROGRAM))
         base, opt = pipeline.run_strategy(STRATEGY_CU, seed=3)
         assert base and opt
+
+
+FOLDING_PROGRAM = """
+class K { static final int A = 6; static final String S = "hey"; }
+class Box { int v; Box(int x) { v = x; } int get() { return v + K.A; } }
+class Main {
+    static int main() {
+        int acc = 0;
+        for (int i = 0; i < 20; i++) acc += new Box(i).get();
+        return acc + K.S.length();
+    }
+}
+"""
+
+
+def _run_record(binary):
+    metrics = run_binary(binary, ExecutionConfig())
+    return (metrics.faults, metrics.ops, metrics.time_s, metrics.result,
+            list(metrics.output), binary.layout_digest())
+
+
+def _methods(program):
+    for cls in program.classes.values():
+        for method in cls.methods.values():
+            yield method
+        if cls.clinit is not None:
+            yield cls.clinit
+
+
+class TestImageProgramReferences:
+    """Cached images store their program by reference (cache.shared)."""
+
+    def _warm(self, tmp_path):
+        cold = _pipeline(tmp_path, source=FOLDING_PROGRAM)
+        cold.run_strategy(STRATEGY_CU, seed=3)
+        return _pipeline(tmp_path, source=FOLDING_PROGRAM)
+
+    def test_warm_baseline_is_the_pipeline_program(self, tmp_path):
+        warm = self._warm(tmp_path)
+        loaded = warm.build_baseline(seed=3)
+        assert warm.cache.stats.by_kind[KIND_IMAGE] == [1, 0]
+        assert loaded.program is warm.program
+        fresh = WorkloadPipeline(Workload(name="cachewl",
+                                          source=FOLDING_PROGRAM))
+        built = fresh.build_baseline(seed=3)
+        assert built.program is fresh.program  # what the load reproduces
+        assert _run_record(loaded) == _run_record(built)
+
+    def test_warm_optimized_copy_shares_unfolded_code(self, tmp_path):
+        warm = self._warm(tmp_path)
+        profiles = warm.profile(seed=3).profiles
+        loaded = warm.build_optimized(profiles, STRATEGY_CU, seed=3)
+        assert warm.cache.stats.by_kind[KIND_IMAGE][1] == 0
+        fresh = WorkloadPipeline(Workload(name="cachewl",
+                                          source=FOLDING_PROGRAM))
+        built = fresh.build_optimized(fresh.profile(seed=3).profiles,
+                                      STRATEGY_CU, seed=3)
+        assert _run_record(loaded) == _run_record(built)
+        folded = 0
+        for copies, program in ((loaded, warm.program),
+                                (built, fresh.program)):
+            assert copies.program is not program
+            pairs = list(zip(_methods(copies.program), _methods(program)))
+            assert len(pairs) == len(list(_methods(program)))
+            for copy, source in pairs:
+                assert copy is not source
+                assert copy.signature == source.signature
+                for mine, theirs in zip(copy.code, source.code):
+                    # unfolded instructions are the program's own objects
+                    assert mine is theirs or mine != theirs
+                    folded += mine is not theirs
+        assert folded > 0  # K.A and K.S were folded in both builds
+        # both graphs fold the same instructions the same way
+        assert ([m.code for m in _methods(loaded.program)]
+                == [m.code for m in _methods(built.program)])
+
+    def test_memo_serves_only_the_same_program(self, tmp_path):
+        warm = self._warm(tmp_path)
+        first = warm.build_baseline(seed=3)
+        assert warm.build_baseline(seed=3) is first  # memo hit
+        other = WorkloadPipeline(Workload(name="cachewl",
+                                          source=FOLDING_PROGRAM),
+                                 cache=warm.cache)
+        other._program = compile_source(FOLDING_PROGRAM)  # a second copy
+        again = other.build_baseline(seed=3)
+        assert again.program is other.program
+        assert again is not first
+
+    def test_reference_payload_needs_its_program(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        refs = ProgramRefs(compile_source(FOLDING_PROGRAM))
+        value = {"methods": list(_methods(refs.root)), "root": refs.root}
+        assert cache.put(KIND_IMAGE, "ab" * 32, value, refs=refs)
+        loaded = ArtifactCache(tmp_path).get(KIND_IMAGE, "ab" * 32, refs=refs)
+        assert loaded["root"] is refs.root
+        assert all(a is b for a, b in zip(loaded["methods"],
+                                          _methods(refs.root)))
+        # read without its program: detected, evicted, a miss
+        blind = ArtifactCache(tmp_path)
+        assert blind.get(KIND_IMAGE, "ab" * 32) is None
+        assert blind.stats.healed == 1
+        assert not blind.contains(KIND_IMAGE, "ab" * 32)
+
+    def test_unresolvable_reference_heals(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        big = ProgramRefs(compile_source(FOLDING_PROGRAM))
+        methods = list(_methods(big.root))
+        cache.put(KIND_IMAGE, "cd" * 32, methods[-1].code[-1], refs=big)
+        small = ProgramRefs(compile_source(PROGRAM))
+        reader = ArtifactCache(tmp_path)
+        assert reader.get(KIND_IMAGE, "cd" * 32, refs=small) is None
+        assert reader.stats.healed == 1
+
+    def test_by_value_entry_of_the_old_schema_is_a_miss(self, tmp_path):
+        pipeline = _pipeline(tmp_path, source=FOLDING_PROGRAM)
+        binary = WorkloadPipeline(Workload(
+            name="cachewl", source=FOLDING_PROGRAM)).build_baseline(seed=3)
+        key = image_key(pipeline._src_digest, pipeline._build_fp, "regular",
+                        None, None, "", 3)
+        old_toolchain = TOOLCHAIN_VERSION.replace(
+            f"cache-v{CACHE_SCHEMA}", f"cache-v{CACHE_SCHEMA - 1}")
+        assert old_toolchain != TOOLCHAIN_VERSION
+        old = ArtifactCache(tmp_path / "cache", toolchain=old_toolchain)
+        assert old.put(KIND_IMAGE, key, binary)  # by value, old sidecar
+        loaded = pipeline.build_baseline(seed=3)
+        assert pipeline.cache.stats.by_kind[KIND_IMAGE] == [0, 1]
+        assert loaded.program is pipeline.program
+        assert _run_record(loaded) == _run_record(binary)
 
 
 class _FlakyIO:

@@ -11,6 +11,7 @@ it and wall-clock deadlines fire spuriously.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -252,12 +253,17 @@ class TestInlineChaosRecovery:
 
     def test_hang_trips_the_deadline_then_recovers(self, tmp_path):
         workloads = _workloads(1)
+        start = time.perf_counter()
         reference = _reference(tmp_path, workloads)
+        # The deadline follows this host's speed: the reference ran the
+        # same cells cold, so a clean retry fits well inside five times
+        # its wall, and the injected hang outlasts the deadline fourfold.
+        deadline = 5 * (time.perf_counter() - start)
         policy = ChaosPolicy(seed=0, rate=1.0, classes=(CHAOS_HANG,),
-                             hang_s=0.2)
+                             hang_s=4 * deadline)
         config = SchedulerConfig(cache_dir=str(tmp_path / "cache"),
                                  max_workers=1, retry=FAST_RETRY,
-                                 chaos=policy, task_deadline_s=0.05)
+                                 chaos=policy, task_deadline_s=deadline)
         sweep = SweepScheduler(config).run(workloads, SPECS)
         assert sweep.ok
         assert sweep.health.hangs >= 1

@@ -86,6 +86,17 @@ def entry(store=None, timestamp=0.0, **kwargs):
 
 
 class TestHistoryStore:
+    def test_optimize_phase_wall_is_recorded(self):
+        with_optimize = payload()
+        with_optimize["optimize"] = {"wall_s": 4.5, "sections": 4,
+                                     "workloads": {"Bounce": {},
+                                                   "Queens": {}}}
+        recorded = make_entry(with_optimize, timestamp=1.0)["phases"]
+        assert list(recorded) == ["cold", "optimize", "warm"]
+        assert recorded["optimize"] == {"wall_s": 4.5, "tasks": 2,
+                                        "cache_hits": 0, "cache_misses": 0}
+        assert "optimize" not in entry()["phases"]
+
     def test_append_roundtrip(self, tmp_path):
         store = BenchHistory(tmp_path / "h.jsonl")
         assert store.entries() == []

@@ -5,7 +5,12 @@ The property suite pins the guarantees docs/optimizer.md promises:
 * the co-access builder is permutation-invariant over its input traces;
 * the chain-merge objective is superadditive under concatenation (merging
   two chains never loses locality credit), so greedy merging is monotone;
+* the touched-only cost model equals full-layout costing, and the
+  gain-table chain merge equals full O(n^3) rescoring (both against
+  reference implementations kept here);
 * same search seed => identical order => byte-identical built layout;
+* ``optimize_workload`` searches each section once and runs the baseline
+  once;
 * end to end on Queens, the optimizer never loses to its seed strategy on
   simulated first-touch faults, and the search's predicted cost equals
   the faults replayed on the actually-built binary.
@@ -14,10 +19,15 @@ The property suite pins the guarantees docs/optimizer.md promises:
 import doctest
 import random as stdlib_random
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.ordering.optimize as optimize_module
 import repro.ordering.profiles as profiles_module
+import repro.validation.differential as differential_module
+from repro.cache import ArtifactCache
 from repro.eval.pipeline import (
     STRATEGY_CU,
     STRATEGY_CU_OPT,
@@ -31,7 +41,10 @@ from repro.ordering.coaccess import (
     layout_objective,
 )
 from repro.ordering.optimize import (
+    CostModel,
     OptimizeConfig,
+    PlaceableUnit,
+    TouchEvent,
     chain_merge_order,
     code_problem,
     heap_problem,
@@ -110,6 +123,7 @@ def test_objective_superadditive_under_concatenation(traces, split):
 
 
 @given(traces=st.lists(trace_st, min_size=1, max_size=6))
+@example(traces=[(["u0", "u2", "u1"], 1), (["u2", "u3"], 1)])
 def test_chain_merge_never_loses_to_first_touch_order(traces):
     """Greedy merging only accepts positive-gain junctions, so the merged
     order's locality objective is >= the first-touch singleton order's."""
@@ -120,6 +134,122 @@ def test_chain_merge_never_loses_to_first_touch_order(traces):
     merged = chain_merge_order(graph, hot, graph.window)
     assert sorted(merged) == sorted(hot)  # a permutation, nothing dropped
     assert layout_objective(graph, merged) >= layout_objective(graph, hot)
+
+
+def _reference_chain_merge(graph, hot, window):
+    """The O(n^3) merge loop: rescore every ordered chain pair each step."""
+    chains = [[name] for name in hot]
+    rank = {name: index for index, name in enumerate(hot)}
+    while len(chains) > 1:
+        best_gain, best_pair = Fraction(0), None
+        for i, left in enumerate(chains):
+            for j, right in enumerate(chains):
+                if i == j:
+                    continue
+                gain = optimize_module._junction_gain(graph, left, right,
+                                                      window)
+                if gain > best_gain or (
+                    gain == best_gain and best_pair is not None and gain > 0
+                    and (chains[best_pair[0]][0], chains[best_pair[1]][0])
+                    > (left[0], right[0])
+                ):
+                    best_gain, best_pair = gain, (i, j)
+        if best_pair is None:
+            break
+        i, j = best_pair
+        merged = chains[i] + chains[j]
+        chains = [c for index, c in enumerate(chains) if index not in (i, j)]
+        chains.append(merged)
+    chains.sort(key=lambda chain: min(rank[name] for name in chain))
+    merged = [name for chain in chains for name in chain]
+    if layout_objective(graph, hot, window) > layout_objective(
+            graph, merged, window):
+        return list(hot)
+    return merged
+
+
+MANY_UNITS = [f"n{i:02d}" for i in range(14)]
+
+
+@given(traces=st.lists(
+           st.tuples(st.lists(st.sampled_from(MANY_UNITS), max_size=14),
+                     st.integers(min_value=0, max_value=3)),
+           min_size=1, max_size=5),
+       window=st.integers(min_value=1, max_value=9),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gain_table_chain_merge_matches_full_rescoring(traces, window, data):
+    """The incremental gain table picks exactly the merges the full
+    O(n^3) rescoring picks (same gains, same tie-break), on random graphs,
+    random hot orders and windows that differ from the graph's."""
+    graph = build_coaccess_graph(traces)
+    hot = data.draw(st.permutations(sorted(graph.nodes)))
+    assert chain_merge_order(graph, hot, window) == _reference_chain_merge(
+        graph, hot, window)
+
+
+def _reference_faults(model, order):
+    """Full-layout costing: place every unit, touch every event span."""
+    offsets, offset = {}, 0
+    for name in order:
+        unit = model.units[name]
+        offsets[name] = offset
+        offset += optimize_module._align(unit.size, unit.align)
+    resident = set()
+    page = model.page_size
+    for event in model.events:
+        base = offsets[event.unit]
+        for start, size in event.spans:
+            if size > 0:
+                resident.update(range((base + start) // page,
+                                      (base + start + size - 1) // page + 1))
+    return len(resident) + model.constant_faults
+
+
+@st.composite
+def cost_models(draw):
+    count = draw(st.integers(min_value=1, max_value=12))
+    units = {}
+    for index in range(count):
+        name = f"c{index}"
+        units[name] = PlaceableUnit(
+            name, draw(st.integers(min_value=0, max_value=3000)),
+            draw(st.sampled_from([1, 8, 16, 64])))
+    names = sorted(units)
+    hot = draw(st.lists(st.sampled_from(names), max_size=3 * count))
+    events = []
+    for name in hot:
+        size = units[name].size
+        spans = draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=size),
+            st.integers(min_value=-4, max_value=size + 8)),
+            min_size=1, max_size=3))
+        events.append(TouchEvent(unit=name, spans=tuple(spans)))
+    model = CostModel(units=units, events=tuple(events),
+                      page_size=draw(st.sampled_from([64, 256, 4096])),
+                      constant_faults=draw(st.integers(0, 3)))
+    return model, names
+
+
+@given(case=cost_models(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_touched_only_faults_match_full_layout(case, data):
+    """Placing units only until every touched one has an offset costs the
+    same as laying out everything, for any order — hot-first permutations
+    and orders that interleave hot and cold units alike."""
+    model, names = case
+    hot = [event.unit for event in model.events]
+    hot_first = sorted(names, key=lambda name: name not in hot)
+    for order in (data.draw(st.permutations(names)), hot_first):
+        assert model.faults(order) == _reference_faults(model, order)
+
+
+def test_faults_reject_an_order_missing_a_touched_unit():
+    model = CostModel(units={"a": PlaceableUnit("a", 10, 1),
+                             "b": PlaceableUnit("b", 10, 1)},
+                      events=(TouchEvent("b", ((0, 4),)),))
+    with pytest.raises(KeyError):
+        model.faults(["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +339,40 @@ def test_optimize_workload_never_worse_and_exact():
         assert section.differential_ok
     # Queens' cold CU tails make the code search a strict win
     assert report.sections[0].improved
+
+
+def test_optimize_workload_does_each_piece_of_work_once(tmp_path,
+                                                       monkeypatch):
+    """One search per section and one baseline run for both differential
+    checks; the optimizer builds are the ones the pipeline derives on its
+    own (its search path afterwards hits every cached image)."""
+    calls = {"search": 0, "runs": 0}
+    search, run = optimize_module.search_order, \
+        differential_module.run_with_watchdog
+
+    def counting_search(*args, **kwargs):
+        calls["search"] += 1
+        return search(*args, **kwargs)
+
+    def counting_run(*args, **kwargs):
+        calls["runs"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "search_order", counting_search)
+    monkeypatch.setattr(differential_module, "run_with_watchdog",
+                        counting_run)
+    pipeline = WorkloadPipeline(
+        awfy_workload("Bounce"), cache=ArtifactCache(tmp_path),
+        optimize_config=OptimizeConfig(budget=50))
+    report = optimize_workload(pipeline)
+    assert report.ok
+    assert calls == {"search": 2, "runs": 3}
+    misses = pipeline.cache.stats.by_kind["image"][1]
+    bundle = pipeline.profile().profiles
+    for spec in (STRATEGY_CU_OPT, STRATEGY_HEAP_OPT):
+        pipeline.build_optimized(bundle, spec)
+    assert pipeline.cache.stats.by_kind["image"][1] == misses
+    assert calls["search"] == 4
 
 
 def test_same_seed_builds_byte_identical_layout():
