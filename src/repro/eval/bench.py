@@ -74,7 +74,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cache import ArtifactCache
 from ..cache.keys import TOOLCHAIN_VERSION
-from ..obs.history import DEFAULT_HISTORY, BenchHistory, make_entry, matrix_hash
+from ..obs.history import (
+    DEFAULT_HISTORY,
+    BenchHistory,
+    host_fingerprint,
+    make_entry,
+    matrix_hash,
+)
 from ..util.stats import MAD_SIGMA, cusum_alarm, mad, median
 from ..workloads.awfy.suite import AWFY_NAMES, awfy_suite
 from ..workloads.microservices.suite import MICROSERVICE_NAMES, microservice_suite
@@ -533,6 +539,7 @@ def run_bench(config: BenchConfig,
     payload["ok"] = (cold.ok and warm.ok and (serial is None or serial.ok)
                      and deterministic)
     payload["results"] = canonical
+    payload["host"] = host_fingerprint(payload)
     return payload
 
 
@@ -679,7 +686,9 @@ def check_trend(payload: Dict[str, Any],
 
     Unlike :func:`check_regression` (one frozen baseline), this compares
     the new run against the *trajectory*: the last ``window`` history
-    entries whose matrix hash matches the payload's.  Per-phase wall
+    entries whose matrix hash and host fingerprint match the payload's
+    (wall clocks of another machine, or of an unknown one, are not this
+    run's trajectory).  Per-phase wall
     clocks and per-cell fault totals each pass through a step detector
     (rolling median ± MAD band) and a CUSUM changepoint detector, so a
     single large regression and a slow drift spread over several entries
@@ -691,11 +700,13 @@ def check_trend(payload: Dict[str, Any],
     """
     candidate = make_entry(payload)
     target_hash = candidate["matrix"]["hash"]
+    host = candidate["host"]
     if isinstance(history, BenchHistory):
-        entries = history.tail(window, matrix_hash=target_hash)
+        entries = history.tail(window, matrix_hash=target_hash, host=host)
     else:
         entries = [e for e in history
-                   if e.get("matrix", {}).get("hash") == target_hash]
+                   if e.get("matrix", {}).get("hash") == target_hash
+                   and e.get("host") == host]
         entries = entries[-window:] if window > 0 else entries
     if len(entries) < TREND_MIN_ENTRIES:
         return []

@@ -89,17 +89,28 @@ def object_size(value: Any) -> int:
 
 
 class HeapSnapshot:
-    """The result of snapshotting: ordered objects plus lookup tables."""
+    """The result of snapshotting: ordered objects plus lookup tables.
+
+    The identity table maps ``id()`` of each non-string value, so it is
+    only meaningful in the process that holds those values: it is left
+    out of the pickled state and rebuilt from ``objects`` on the first
+    non-string lookup after a load.
+    """
 
     def __init__(self) -> None:
         self.objects: List[HeapObject] = []
-        self._by_identity: Dict[int, HeapObject] = {}
+        self._by_identity: Optional[Dict[int, HeapObject]] = {}
         self._strings: Dict[str, HeapObject] = {}
 
     def lookup(self, value: Any) -> Optional[HeapObject]:
         """The snapshot entry for a runtime value, if present."""
         if isinstance(value, str):
             return self._strings.get(value)
+        if self._by_identity is None:
+            self._by_identity = {}
+            for obj in self.objects:
+                if not isinstance(obj.value, str):
+                    self._by_identity[id(obj.value)] = obj
         return self._by_identity.get(id(value))
 
     def __len__(self) -> int:
@@ -108,13 +119,22 @@ class HeapSnapshot:
     def __iter__(self):
         return iter(self.objects)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_by_identity"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._by_identity = None  # entries written with the table drop it too
+
     # -- construction (used by the snapshotter) ------------------------------
 
     def add(self, obj: HeapObject) -> None:
         self.objects.append(obj)
         if isinstance(obj.value, str):
             self._strings[obj.value] = obj
-        else:
+        elif self._by_identity is not None:
             self._by_identity[id(obj.value)] = obj
 
 

@@ -24,6 +24,11 @@ Design points:
   × base seed); :func:`matrix_hash` fingerprints that, and the trend
   gate filters on it so a ``--quick`` run never gates against full-
   matrix history.
+* **Host comparability.**  Wall clocks from different machines are not a
+  trajectory: every entry records :func:`host_fingerprint` (cores,
+  resolved workers, Python version) and the trend gate compares only
+  entries with the candidate's fingerprint.  Entries written before the
+  fingerprint existed are marked :data:`UNKNOWN_HOST` and match nothing.
 
 The trend math over these series lives in
 :func:`repro.eval.bench.check_trend`; the rendering in
@@ -41,14 +46,17 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: current entry schema (bump + add a migration step when fields change)
-HISTORY_SCHEMA = 2
+HISTORY_SCHEMA = 3
+
+#: host of an entry recorded before entries carried a host fingerprint
+UNKNOWN_HOST = "unknown"
 
 #: default history file beside ``BENCH_pipeline.json``
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 
 #: fields every current-schema entry must carry to be usable
 _REQUIRED_FIELDS = ("schema", "run_id", "timestamp", "toolchain",
-                    "matrix", "phases", "cell_faults")
+                    "host", "matrix", "phases", "cell_faults")
 
 
 def matrix_hash(config: Dict[str, Any]) -> str:
@@ -78,6 +86,24 @@ def toolchain_fingerprint(toolchain_version: str) -> Dict[str, str]:
         "version": toolchain_version,
         "python": platform.python_version(),
         "platform": platform.system().lower(),
+    }
+
+
+def host_fingerprint(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The machine a bench payload measured on, as far as wall clocks care.
+
+    Logical cores of this process's machine, the most workers any phase
+    of ``payload`` resolved to, and the Python version.  ``repro bench``
+    stores it in the payload as ``host``; payloads without one are taken
+    to come from the machine reading them.
+    """
+    workers = max((int(phase.get("workers", 1))
+                   for phase in payload.get("phases", {}).values()),
+                  default=1)
+    return {
+        "cores": os.cpu_count() or 1,
+        "workers": workers,
+        "python": platform.python_version(),
     }
 
 
@@ -130,6 +156,7 @@ def make_entry(
         "run_id": run_id,
         "timestamp": timestamp,
         "toolchain": toolchain_fingerprint(payload.get("toolchain", "")),
+        "host": payload.get("host") or host_fingerprint(payload),
         "matrix": {
             "hash": matrix_hash(config),
             "cells": config.get("cells", 0),
@@ -178,6 +205,9 @@ def migrate_entry(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     if schema == 1:
         entry = _migrate_v1(entry)
         schema = entry.get("schema")
+    if schema == 2:
+        entry = _migrate_v2(entry)
+        schema = entry.get("schema")
     if schema != HISTORY_SCHEMA:
         return None
     if any(field not in entry for field in _REQUIRED_FIELDS):
@@ -214,6 +244,15 @@ def _migrate_v1(entry: Dict[str, Any]) -> Dict[str, Any]:
         upgraded.pop("config", None)
         upgraded.pop("config_hash", None)
     upgraded.setdefault("cell_faults", {})
+    return upgraded
+
+
+def _migrate_v2(entry: Dict[str, Any]) -> Dict[str, Any]:
+    """v2 -> v3: entries gained a host fingerprint; where an old entry
+    ran is not known, so it is marked :data:`UNKNOWN_HOST`."""
+    upgraded = dict(entry)
+    upgraded["schema"] = 3
+    upgraded.setdefault("host", UNKNOWN_HOST)
     return upgraded
 
 
@@ -259,12 +298,13 @@ class BenchHistory:
     # -- reading -------------------------------------------------------------
 
     def entries(self, matrix_hash: Optional[str] = None,
+                host: Optional[Dict[str, Any]] = None,
                 ) -> List[Dict[str, Any]]:
         """All usable entries, oldest first, migrated to the current schema.
 
         Corrupt lines and entries no migration can rescue are skipped
-        (counted in :attr:`skipped`); ``matrix_hash`` filters to one
-        comparable series.
+        (counted in :attr:`skipped`); ``matrix_hash`` and ``host`` filter
+        to one comparable series.
         """
         self.skipped = 0
         out: List[Dict[str, Any]] = []
@@ -290,13 +330,16 @@ class BenchHistory:
                 if (matrix_hash is not None
                         and entry["matrix"].get("hash") != matrix_hash):
                     continue
+                if host is not None and entry["host"] != host:
+                    continue
                 out.append(entry)
         return out
 
     def tail(self, n: int, matrix_hash: Optional[str] = None,
+             host: Optional[Dict[str, Any]] = None,
              ) -> List[Dict[str, Any]]:
         """The last ``n`` comparable entries, oldest first."""
-        entries = self.entries(matrix_hash=matrix_hash)
+        entries = self.entries(matrix_hash=matrix_hash, host=host)
         return entries[-n:] if n > 0 else []
 
     # -- maintenance ---------------------------------------------------------
@@ -366,6 +409,8 @@ __all__ = [
     "BenchHistory",
     "DEFAULT_HISTORY",
     "HISTORY_SCHEMA",
+    "UNKNOWN_HOST",
+    "host_fingerprint",
     "make_entry",
     "matrix_hash",
     "migrate_entry",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..image.binary import NativeImageBinary, RuntimeImage
 from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
@@ -130,29 +130,41 @@ class ExecHooks(RuntimeHooks):
         self.responded = False
         self.response_snapshot: Optional[Dict[str, int]] = None
         self.response_ops: Optional[int] = None
+        #: (id(method), id(caller CU)) -> (placed CU, touch offset, touch
+        #: size, CU name on a non-inlined entry else None); the size drops
+        #: to 0 once the range is resident, since re-touching it is a no-op
+        self._entries: Dict[Tuple[int, int], tuple] = {}
 
     # -- code ------------------------------------------------------------------
 
     def on_method_enter(self, frame: Frame, caller: Optional[Frame],
                         thread: ThreadState) -> None:
         caller_cu = caller.context if caller is not None else None
-        placed, member = self._binary.code_location(frame.method, caller_cu)
-        if placed is None:
-            frame.context = caller_cu
-        else:
-            frame.context = placed
-            offset, size = placed.member_range(member)
-            non_inlined_entry = placed is not caller_cu
-            if non_inlined_entry:
-                # CU prologue executes too.
-                self._cache.touch(TEXT_SECTION, placed.offset,
-                                  offset - placed.offset + size)
-            else:
-                self._cache.touch(TEXT_SECTION, offset, size)
-            if self._tracer is not None and non_inlined_entry:
-                self._tracer.on_cu_entry(placed.cu.name, thread)
+        key = (id(frame.method), id(caller_cu))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = self._entry(frame.method, caller_cu)
+        placed, offset, size, cu_name = entry
+        frame.context = placed if placed is not None else caller_cu
+        if size:
+            self._cache.touch(TEXT_SECTION, offset, size)
+            self._entries[key] = (placed, offset, 0, cu_name)
         if self._tracer is not None:
+            if cu_name is not None:
+                self._tracer.on_cu_entry(cu_name, thread)
             self._tracer.on_method_enter(frame, thread)
+
+    def _entry(self, method, caller_cu) -> tuple:
+        """Where entering ``method`` from ``caller_cu`` executes and touches."""
+        placed, member = self._binary.code_location(method, caller_cu)
+        if placed is None:
+            return None, 0, 0, None
+        offset, size = placed.member_range(member)
+        if placed is not caller_cu:
+            # Non-inlined entry: the CU prologue executes too.
+            return (placed, placed.offset, offset - placed.offset + size,
+                    placed.cu.name)
+        return placed, offset, size, None
 
     def on_method_exit(self, frame: Frame, thread: ThreadState) -> None:
         if self._tracer is not None:

@@ -1,6 +1,8 @@
 """Tests for the content-addressed artifact cache (keys + store + pipeline)."""
 
+import copyreg
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -28,6 +30,7 @@ from repro.eval.pipeline import (
     WorkloadPipeline,
 )
 from repro.cache.shared import ProgramRefs
+from repro.minijava.bytecode import Instr
 from repro.minijava.frontend import compile_source
 from repro.runtime.executor import ExecutionConfig, run_binary
 
@@ -369,6 +372,44 @@ class TestImageProgramReferences:
         reader = ArtifactCache(tmp_path)
         assert reader.get(KIND_IMAGE, "cd" * 32, refs=small) is None
         assert reader.stats.healed == 1
+
+    def test_loaded_snapshot_looks_up_like_a_fresh_build(self, tmp_path):
+        """The identity table is rebuilt for the loaded values, not
+        carried over from the build-time ones."""
+        warm = self._warm(tmp_path)
+        loaded = warm.build_baseline(seed=3).snapshot
+        assert warm.cache.stats.by_kind[KIND_IMAGE] == [1, 0]
+        fresh = WorkloadPipeline(Workload(
+            name="cachewl", source=FOLDING_PROGRAM)).build_baseline(seed=3)
+        assert "_by_identity" not in loaded.__getstate__()
+        pairs = list(zip(loaded.objects, fresh.snapshot.objects))
+        assert len(pairs) == len(fresh.snapshot.objects)
+        assert sum(not isinstance(o.value, str) for o, _ in pairs) > 0
+        for mine, theirs in pairs:
+            found = loaded.lookup(mine.value)
+            expected = fresh.snapshot.lookup(theirs.value)
+            assert found is not None and expected is not None
+            assert found.index == expected.index
+        assert loaded.lookup(object()) is None
+
+    def test_instructions_pickle_as_constructor_calls(self):
+        code = [Instr("CALL_STATIC", ("Main", "f", 2), 7),
+                Instr("CONST_NULL"), Instr("RET_VAL", (), 9)]
+        data = pickle.dumps(code, protocol=pickle.HIGHEST_PROTOCOL)
+        assert pickle.loads(data) == code
+        assert b"__dict__" not in data and b"line" not in data
+
+        class _StateDict(pickle.Pickler):
+            # the class-plus-state-dict form entries were written in
+            def reducer_override(self, obj):
+                if type(obj) is Instr:
+                    return copyreg.__newobj__, (Instr,), dict(vars(obj))
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        _StateDict(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(code)
+        assert len(buffer.getvalue()) > len(data)
+        assert pickle.loads(buffer.getvalue()) == code
 
     def test_by_value_entry_of_the_old_schema_is_a_miss(self, tmp_path):
         pipeline = _pipeline(tmp_path, source=FOLDING_PROGRAM)

@@ -2,7 +2,7 @@
 
 Covers the PR's new layer end to end with synthetic payloads: the
 append-only schema-versioned store (roundtrip, prune, compact, v1->v2
-migration, corrupt-line salvage), the CUSUM changepoint detector on
+and v2->v3 migration, corrupt-line salvage, host fingerprints), the CUSUM changepoint detector on
 step/drift/noise series, the trend gate's step and slow-drift failure
 modes (both naming the phase and the blamed symbols), and the HTML
 report's structure against a golden file.
@@ -23,6 +23,7 @@ from repro.eval.bench import (
 )
 from repro.obs.history import (
     HISTORY_SCHEMA,
+    UNKNOWN_HOST,
     BenchHistory,
     make_entry,
     matrix_hash,
@@ -185,6 +186,25 @@ class TestHistoryStore:
         raw = json.loads(store.path.read_text())
         assert raw["schema"] == HISTORY_SCHEMA
 
+    def test_v2_entry_migrates_to_unknown_host(self, tmp_path):
+        v2 = entry(timestamp=5.0)
+        del v2["host"]
+        v2["schema"] = 2
+        store = BenchHistory(tmp_path / "h.jsonl")
+        store.path.write_text(json.dumps(v2) + "\n")
+        (migrated,) = store.entries()
+        assert migrated["schema"] == HISTORY_SCHEMA == 3
+        assert migrated["host"] == UNKNOWN_HOST
+        assert store.entries(host=entry()["host"]) == []
+
+    def test_entry_records_the_payload_host(self):
+        recorded = entry()["host"]
+        assert set(recorded) == {"cores", "workers", "python"}
+        assert recorded["workers"] == 2  # the payload's widest phase
+        on_file = payload()
+        on_file["host"] = {"cores": 64, "workers": 8, "python": "3.12.1"}
+        assert make_entry(on_file, timestamp=1.0)["host"] == on_file["host"]
+
     def test_newer_schema_rejected(self):
         assert migrate_entry({"schema": HISTORY_SCHEMA + 1}) is None
         assert migrate_entry({"no": "schema"}) is None
@@ -268,6 +288,49 @@ class TestCheckTrend:
         entries = self.history(*[10.0] * 5)
         other = payload(cold=99.0, workloads=("Bounce",))
         assert check_trend(other, entries) == []
+
+    @staticmethod
+    def on_host(host, **kwargs):
+        hosted = payload(**kwargs)
+        hosted["host"] = {"cores": 2, "workers": 2, "python": host}
+        return hosted
+
+    def test_same_host_drift_still_fails(self):
+        walls = (10.0, 10.0, 10.0, 10.0, 10.0, 10.8, 12.0)
+        entries = [make_entry(self.on_host("a", cold=wall),
+                              timestamp=float(index))
+                   for index, wall in enumerate(walls)]
+        failures = check_trend(self.on_host("a", cold=13.2), entries)
+        assert failures and "drifting upward" in failures[0]
+
+    def test_other_host_entries_are_excluded(self, tmp_path):
+        store = BenchHistory(tmp_path / "h.jsonl")
+        for index in range(5):  # a fast host's trajectory
+            store.append(make_entry(self.on_host("fast", cold=10.0),
+                                    timestamp=float(index)))
+        for index in range(3):  # this host: a steady 30 s
+            store.append(make_entry(self.on_host("slow", cold=30.0),
+                                    timestamp=10.0 + index))
+        # against the mixed store, a steady 30 s run is no regression
+        assert check_trend(self.on_host("slow", cold=30.0), store) == []
+        assert check_trend(self.on_host("slow", cold=30.0),
+                           store.entries()) == []
+        # but a step on this host still fails, against its own entries
+        assert check_trend(self.on_host("slow", cold=90.0), store)
+        # and a host with no trajectory of its own abstains
+        assert check_trend(self.on_host("new", cold=99.0), store) == []
+
+    def test_unknown_host_entries_gate_nothing(self, tmp_path):
+        store = BenchHistory(tmp_path / "h.jsonl")
+        lines = []
+        for index in range(5):
+            legacy = entry(timestamp=float(index), cold=10.0)
+            del legacy["host"]
+            legacy["schema"] = 2
+            lines.append(json.dumps(legacy))
+        store.path.write_text("\n".join(lines) + "\n")
+        assert len(store.entries()) == 5
+        assert check_trend(payload(cold=30.0), store) == []
 
     def test_store_backed_gate(self, tmp_path):
         store = BenchHistory(tmp_path / "h.jsonl")

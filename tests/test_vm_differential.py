@@ -117,3 +117,24 @@ def test_expressions_accumulated_through_locals(cases) -> None:
     source = f"class Main {{ static int main() {{ {body} }} }}"
     program = compile_source(source)
     assert Interpreter(program).run_single(program.entry_method()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(expressions(), min_size=1, max_size=4))
+def test_decoded_loop_matches_reference_loop(cases) -> None:
+    """The pre-decoded step loop and the string-dispatch reference agree
+    on every value and op count (small quanta interleave the budgets)."""
+    from reference_interpreter import ReferenceInterpreter
+
+    body = " ".join(f"int v{index} = {text}; println(v{index});"
+                    for index, (text, _) in enumerate(cases))
+    source = f"class Main {{ static int main() {{ {body} return 0; }} }}"
+    program = compile_source(source)
+    outcomes = []
+    for cls in (Interpreter, ReferenceInterpreter):
+        interp = cls(program, quantum=3)
+        thread = interp.spawn_main()
+        interp.run()
+        outcomes.append((thread.result, interp.output, interp.ops_executed))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == [str(value) for _, value in cases]
